@@ -8,6 +8,7 @@ synth, find-peaks, verify.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -68,7 +69,10 @@ def _parse_sites(spec: str) -> list[int]:
 
 def _field_vector(args) -> np.ndarray:
     if args.axis is not None:
-        parts = [float(p) for p in args.axis.split(",")]
+        try:
+            parts = [float(p) for p in args.axis.split(",")]
+        except ValueError:
+            raise ConfigError(f"bad --axis {args.axis!r}")
         if len(parts) != 3 or not any(parts):
             raise ConfigError("--axis needs 3 comma-separated components, not all zero")
         v = np.array(parts)
@@ -391,9 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_axis_value(argv: list[str]) -> list[str]:
+    """Write ``--axis -1,0,0`` as ``--axis=-1,0,0``.
+
+    argparse reads a separate value that starts with '-' and is not a
+    plain number as the next option, so it would reject a direction
+    whose first component is negative.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--axis" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--axis={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_axis_value(sys.argv[1:] if argv is None else argv))
     try:
         config = load_config(args.config)
         config = _resolved(config, args)

@@ -15,12 +15,12 @@ seeds candidates and local refinement polishes them.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cartesian_to_angles, lab_to_cartesian, LabField, site_frame
+from .fitting import golden_section_array
+from .geometry import site_frame
 from .hamiltonian import LevelModel, default_models
 
 SPLITTING_MODELS = ("sqrt", "linear")
@@ -124,13 +124,6 @@ class SiteModel:
         self._dq = (
             gc.g_j ** 2 * ground.tensor.as_array() - ec.g_j ** 2 * excited.tensor.as_array()
         ) * gc.mu_b ** 2
-        # plain-float copies for the scalar hot path used in refinement
-        self._frame_rows = tuple(tuple(float(v) for v in row) for row in self.frame)
-        self._gg2 = tuple(float(v) ** 2 for v in self._gg)
-        self._ge2 = tuple(float(v) ** 2 for v in self._ge)
-        self._ggf = tuple(float(v) for v in self._gg)
-        self._gef = tuple(float(v) for v in self._ge)
-        self._dqf = tuple(float(v) for v in self._dq)
 
     def local_components(self, u):
         """Signed local direction cosines under the active convention."""
@@ -170,65 +163,64 @@ class SiteModel:
         """Analytic magnitude derivative d(dE)/dB, MHz/T."""
         return self.sigma(u, branch) + 2.0 * self.quad_coeff(u) * b_mag
 
-    # -- scalar fast path (pure python floats, used by refinement) --
+    # -- elementwise path used by refinement --
 
-    def _scalar_sigma_q(self, ux, uy, uz, branch):
-        r0, r1, r2 = self._frame_rows
-        c0 = ux * r0[0] + uy * r0[1] + uz * r0[2]
-        c1 = ux * r1[0] + uy * r1[1] + uz * r1[2]
-        c2 = ux * r2[0] + uy * r2[1] + uz * r2[2]
+    def _sigma_q(self, ux, uy, uz, m_g, m_e):
+        """sigma and q at lab directions (ux, uy, uz) for branch spins (m_g, m_e).
+
+        The frame products are written as component sums, not
+        ``u @ frame.T``, so their rounding does not depend on the
+        matrix-product kernel: the golden-section comparisons in
+        refinement can turn on the last digits of the objective.
+        """
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.frame
+        c0 = ux * r00 + uy * r01 + uz * r02
+        c1 = ux * r10 + uy * r11 + uz * r12
+        c2 = ux * r20 + uy * r21 + uz * r22
         if self.convention == "equal-projection":
-            inplane2 = max(1.0 - c0 * c0, 0.0) / 2.0
-            c1 = c2 = math.sqrt(inplane2)
+            c1 = c2 = np.sqrt(np.maximum(1.0 - c0 * c0, 0.0) / 2.0)
         p0, p1, p2 = c0 * c0, c1 * c1, c2 * c2
         if self.splitting_model == "sqrt":
-            sg = math.sqrt(self._gg2[0] * p0 + self._gg2[1] * p1 + self._gg2[2] * p2)
-            se = math.sqrt(self._ge2[0] * p0 + self._ge2[1] * p1 + self._ge2[2] * p2)
+            gg2, ge2 = self._gg ** 2, self._ge ** 2
+            sg = np.sqrt(gg2[0] * p0 + gg2[1] * p1 + gg2[2] * p2)
+            se = np.sqrt(ge2[0] * p0 + ge2[1] * p1 + ge2[2] * p2)
         else:
-            sg = self._ggf[0] * c0 + self._ggf[1] * c1 + self._ggf[2] * c2
-            se = self._gef[0] * c0 + self._gef[1] * c1 + self._gef[2] * c2
-        m_g, m_e = branch
-        sigma = m_g * sg - m_e * se
-        q = self._dqf[0] * p0 + self._dqf[1] * p1 + self._dqf[2] * p2
-        return sigma, q
+            gg, ge = self._gg, self._ge
+            sg = gg[0] * c0 + gg[1] * c1 + gg[2] * c2
+            se = ge[0] * c0 + ge[1] * c1 + ge[2] * c2
+        dq = self._dq
+        return m_g * sg - m_e * se, dq[0] * p0 + dq[1] * p1 + dq[2] * p2
 
-    def _scalar_objective(self, theta, phi, branch, b_max, step_deg=_FD_ANGLE_DEG):
-        """(angular gradient norm at the extremum field, that field).
+    def _clock_objective(self, theta, phi, m_g, m_e, b_max, step_deg=_FD_ANGLE_DEG):
+        """(angular gradient norm at the extremum field, that field), elementwise.
 
-        Returns (inf, nan) when the orientation has no positive-field
-        magnitude extremum within b_max.
+        ``theta``, ``phi`` in degrees; ``m_g``, ``m_e`` are the branch spins
+        of each point.  The norm is inf and the field nan where the
+        orientation has no positive-field magnitude extremum within b_max.
         """
-        th, ph = math.radians(theta), math.radians(phi)
-        st, ct = math.sin(th), math.cos(th)
-        sp, cp = math.sin(ph), math.cos(ph)
-        u = (st * cp, st * sp, ct)
-        sigma, q = self._scalar_sigma_q(*u, branch)
-        if q == 0:
-            return math.inf, math.nan
-        b = -sigma / (2.0 * q)
-        if not (0.0 < b <= b_max) or not math.isfinite(b):
-            return math.inf, math.nan
-        if abs(st) > 1e-9:
-            e_t = (ct * cp, ct * sp, -st)
-            e_p = (-sp, cp, 0.0)
-        else:
-            e_t = (1.0, 0.0, 0.0)
-            e_p = (0.0, ct, 0.0) if ct > 0 else (0.0, -ct, 0.0)
+        th, ph = np.radians(theta), np.radians(phi)
+        st, ct = np.sin(th), np.cos(th)
+        sp, cp = np.sin(ph), np.cos(ph)
+        ux, uy, uz = st * cp, st * sp, ct
+        sigma, q = self._sigma_q(ux, uy, uz, m_g, m_e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = -sigma / (2.0 * q)
+        ok = (b > 0.0) & (b <= b_max) & np.isfinite(b)
+        b = np.where(ok, b, np.nan)
+        # (e_theta, e_phi); at the poles <100> and <010> instead
+        pole = np.abs(st) <= 1e-9
+        e_t = (np.where(pole, 1.0, ct * cp), np.where(pole, 0.0, ct * sp), np.where(pole, 0.0, -st))
+        e_p = (np.where(pole, 0.0, -sp), np.where(pole, np.abs(ct), cp), np.zeros_like(st))
+        # rows: +e_theta, -e_theta, +e_phi, -e_phi
         h = math.radians(step_deg)
         ch, sh = math.cos(h), math.sin(h)
-        comps = []
-        for t in (e_t, e_p):
-            total = 0.0
-            for sign in (1.0, -1.0):
-                v = (
-                    ch * u[0] + sign * sh * t[0],
-                    ch * u[1] + sign * sh * t[1],
-                    ch * u[2] + sign * sh * t[2],
-                )
-                s2, q2 = self._scalar_sigma_q(*v, branch)
-                total += sign * (s2 * b + q2 * b * b)
-            comps.append(total / (2.0 * step_deg))
-        return math.hypot(comps[0], comps[1]), b
+        shift = np.array([sh, -sh, sh, -sh])[:, None]
+        v = [ch * uc + shift * np.stack([t, t, p, p]) for uc, t, p in zip((ux, uy, uz), e_t, e_p)]
+        s2, q2 = self._sigma_q(*v, m_g, m_e)
+        f = s2 * b + q2 * b * b
+        g_theta = (f[0] - f[1]) / (2.0 * step_deg)
+        g_phi = (f[2] - f[3]) / (2.0 * step_deg)
+        return np.where(ok, np.hypot(g_theta, g_phi), np.inf), b
 
 
 def _tangent_basis(u):
@@ -345,44 +337,27 @@ def _grad_norm_grid(model: SiteModel, b, u, branch):
     return np.hypot(comps[0], comps[1])
 
 
-def _golden_min(fn, lo, hi, tol):
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _refine(model: SiteModel, theta, phi, branch, grid: GridSpec):
-    """Cyclic coordinate descent on the angular gradient norm.
+def _descend(model: SiteModel, theta, phi, m_g, m_e, grid: GridSpec):
+    """Cyclic coordinate descent on the angular gradient norm, all seeds at once.
 
     The magnitude coordinate is eliminated analytically: at each
     orientation the candidate field is the quadratic-model extremum, so
-    only (theta, phi) are searched.
+    only (theta, phi) are searched.  Every seed keeps its own golden-section
+    brackets, so it follows the path it would follow if refined alone.
     """
 
-    def objective(th, ph):
-        return model._scalar_objective(th, ph, branch, grid.b_max)
+    def norm(th, ph, i):
+        return model._clock_objective(th, ph, m_g[i], m_e[i], grid.b_max)[0]
 
     span = max(grid.theta_step, grid.phi_step)
     for _ in range(20):
-        theta = _golden_min(lambda t: objective(t, phi)[0], theta - span, theta + span, 1e-5)
-        phi = _golden_min(lambda p: objective(theta, p)[0], phi - span, phi + span, 1e-5)
+        theta = golden_section_array(lambda t, i: norm(t, phi[i], i), theta - span, theta + span, 1e-5)
+        phi = golden_section_array(lambda p, i: norm(theta[i], p, i), phi - span, phi + span, 1e-5)
         span *= 0.5
         if span < 1e-4:
             break
-    norm, b = objective(theta, phi)
-    return theta, phi, b, norm
+    grad, b = model._clock_objective(theta, phi, m_g, m_e, grid.b_max)
+    return theta, phi, b, grad
 
 
 def _canonical_angles(theta, phi):
@@ -415,23 +390,27 @@ def find_clock_transitions(
     phis = np.arange(-180.0 + grid.phi_step, 180.0 + 1e-9, grid.phi_step)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     u = _unit_vectors(tg, pg)
-    results: list[ClockTransition] = []
-    for branch in branches:
+    seeds = []
+    for k, branch in enumerate(branches):
         b = _b_star_grid(model, u, branch, grid)
         norm = np.where(np.isfinite(b), _grad_norm_grid(model, b, u, branch), np.inf)
-        seeds = _local_minima(norm, seed_gradient)
-        for i, j in seeds:
-            th, ph, b_ref, g_ref = _refine(model, tg[i, j], pg[i, j], branch, grid)
-            if not np.isfinite(b_ref) or b_ref <= 0 or b_ref > grid.b_max:
-                continue
-            th, ph = _canonical_angles(th, ph)
-            db = abs(model.shift_db(b_ref, _unit_vectors(th, ph), branch))
-            if db >= FIELD_DERIV_TOL or g_ref >= ANGULAR_GRAD_TOL:
-                continue
-            curv = curvature(model, b_ref, th, ph, branch)
-            results.append(
-                ClockTransition(model.site_id, float(b_ref), th, ph, branch, curv, g_ref)
-            )
+        i, j = _local_minima(norm, seed_gradient)
+        seeds.append((tg[i, j], pg[i, j], np.full(i.size, k)))
+    theta, phi, which = (np.concatenate(a) for a in zip(*seeds))
+    spins = np.array(branches, dtype=float)[which]
+    theta, phi, b_ref, g_ref = _descend(model, theta, phi, spins[:, 0], spins[:, 1], grid)
+    results: list[ClockTransition] = []
+    # g_ref is inf wherever b_ref is not a field in (0, b_max]
+    for k in np.nonzero(g_ref < ANGULAR_GRAD_TOL)[0]:
+        branch = branches[which[k]]
+        th, ph = _canonical_angles(theta[k], phi[k])
+        db = abs(model.shift_db(b_ref[k], _unit_vectors(th, ph), branch))
+        if db >= FIELD_DERIV_TOL:
+            continue
+        curv = curvature(model, b_ref[k], th, ph, branch)
+        results.append(
+            ClockTransition(model.site_id, float(b_ref[k]), th, ph, branch, curv, float(g_ref[k]))
+        )
     return _deduplicate(results)
 
 
@@ -447,52 +426,31 @@ def _local_minima(norm, threshold):
                 continue
             neighbor = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
             is_min &= center <= neighbor
-    return list(zip(*np.nonzero(is_min)))
+    return np.nonzero(is_min)
 
 
 def _deduplicate(results, angle_tol=2.0, b_tol=2e-3):
+    """Greedy, lowest gradient first: drop a point within ``angle_tol``
+    degrees and ``b_tol`` tesla of an already kept point on its branch."""
+    ordered = sorted(results, key=lambda c: c.gradient_norm)
+    n = len(ordered)
+    u = _unit_vectors(np.array([c.theta for c in ordered]), np.array([c.phi for c in ordered]))
+    b = np.array([c.b_star for c in ordered])
+    codes: dict = {}
+    branch = np.array([codes.setdefault(c.branch, len(codes)) for c in ordered], dtype=int)
+    kept_u, kept_b, kept_branch = np.empty((n, 3)), np.empty(n), np.empty(n, dtype=int)
     kept: list[ClockTransition] = []
-    for ct in sorted(results, key=lambda c: c.gradient_norm):
-        u = _unit_vectors(ct.theta, ct.phi)
-        dup = False
-        for other in kept:
-            if other.branch != ct.branch:
-                continue
-            v = _unit_vectors(other.theta, other.phi)
-            ang = math.degrees(math.acos(float(np.clip(u @ v, -1.0, 1.0))))
-            if ang <= angle_tol and abs(ct.b_star - other.b_star) <= b_tol:
-                dup = True
-                break
-        if not dup:
+    for i, ct in enumerate(ordered):
+        k = len(kept)
+        near = (
+            (kept_branch[:k] == branch[i])
+            & (np.abs(b[i] - kept_b[:k]) <= b_tol)
+            & (np.degrees(np.arccos(np.clip(kept_u[:k] @ u[i], -1.0, 1.0))) <= angle_tol)
+        )
+        if not near.any():
+            kept_u[k], kept_b[k], kept_branch[k] = u[i], b[i], branch[i]
             kept.append(ct)
     return sorted(kept, key=lambda c: (c.branch, c.theta, c.phi))
-
-
-def max_workers() -> int:
-    """Worker cap for grid parallelism, honoring GARNETSPIN_THREADS."""
-    env = os.environ.get("GARNETSPIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def all_clock_transitions(
-    sites=range(1, 7),
-    grid: GridSpec | None = None,
-    ground: LevelModel | None = None,
-    excited: LevelModel | None = None,
-    convention: str = "si-table",
-    splitting_model: str = "sqrt",
-) -> list[ClockTransition]:
-    """Clock transitions for several sites, deterministically ordered."""
-    out: list[ClockTransition] = []
-    for sid in sites:
-        model = SiteModel(sid, ground, excited, convention, splitting_model)
-        out.extend(find_clock_transitions(model, grid))
-    return sorted(out, key=lambda c: (c.site, c.branch, c.theta, c.phi))
 
 
 def broadening_map(
@@ -526,7 +484,7 @@ def broadening_map(
     fp = (split_at(np.cos(h) * u + np.sin(h) * e_phi) - split_at(np.cos(h) * u - np.sin(h) * e_phi)) / (2 * _FD_ANGLE_DEG)
     norm = np.hypot(ft, fp)
     extrema = []
-    for i, j in _local_minima(norm, grad_tol * 100):
+    for i, j in zip(*_local_minima(norm, grad_tol * 100)):
         kind = _classify_extremum(split_at, u[i, j], e_theta[i, j], e_phi[i, j])
         extrema.append(
             {

@@ -274,6 +274,30 @@ class TestSynthAndPeaks:
         assert code == 2
 
 
+class TestAxis:
+    """A direction whose first component is negative parses in both forms."""
+
+    COMMANDS = {
+        "predict": ["predict", "--b-mag", "1.0"],
+        "synth": ["synth", "--b-mag", "0.09", "--step", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("form", ["separate", "attached"])
+    def test_negative_first_component(self, capsys, command, form):
+        axis = ["--axis", "-0.85,-0.38,-0.35"] if form == "separate" else ["--axis=-0.85,-0.38,-0.35"]
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], *axis)
+        assert code == 0, err
+        # both outputs are even in the field direction
+        _, expected, _ = run_cli(capsys, *self.COMMANDS[command], "--axis", "0.85,0.38,0.35")
+        assert out == expected
+
+    def test_non_numeric_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "predict", "--b-mag", "1.0", "--axis", "x,y,z")
+        assert code == 2
+        assert "--axis" in err
+
+
 class TestVerify:
     def test_fast_report_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fast")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from garnetspin.fitting import golden_section, golden_section_array
 from garnetspin.geometry import site_frame
 from garnetspin.hamiltonian import (
     EXCITED_CONSTANTS,
@@ -14,6 +17,7 @@ from garnetspin.hamiltonian import (
 )
 from garnetspin.search import (
     BRANCHES,
+    ClockTransition,
     GridSpec,
     SearchError,
     SiteModel,
@@ -24,6 +28,9 @@ from garnetspin.search import (
     curvature,
     field_extremum,
     find_clock_transitions,
+    _deduplicate,
+    _descend,
+    _unit_vectors,
 )
 
 BRANCH_DD = (-0.5, -0.5)
@@ -233,6 +240,102 @@ class TestClockSearch:
         cts = find_clock_transitions(model, self.GRID, branches=(BRANCH_DD,))
         best = min(cts, key=lambda c: abs(c.b_star - 0.0188))
         assert best.b_star == pytest.approx(0.0188, abs=1e-3)
+
+
+class TestBatchedRefinement:
+    def test_seeds_refined_alone_or_together_agree(self):
+        # every seed keeps its own brackets, so the batch changes nothing
+        model = SiteModel(3)
+        grid = GridSpec(b_max=0.06, theta_step=4.0, phi_step=4.0)
+        rng = np.random.default_rng(5)
+        n = 10
+        theta = rng.uniform(0.0, 180.0, n)
+        phi = rng.uniform(-180.0, 180.0, n)
+        spins = np.array(BRANCHES)[rng.integers(0, len(BRANCHES), n)]
+        together = _descend(model, theta, phi, spins[:, 0], spins[:, 1], grid)
+        assert np.isfinite(together[2]).any() and not np.isfinite(together[2]).all()
+        for k in range(n):
+            one = slice(k, k + 1)
+            alone = _descend(model, theta[one], phi[one], spins[one, 0], spins[one, 1], grid)
+            for got, want in zip(alone[:3], together[:3]):
+                np.testing.assert_array_equal(got, want[one])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-100.0, 100.0),
+                st.floats(0.01, 50.0),
+                st.floats(0.01, 50.0),
+                st.floats(0.1, 10.0),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.floats(1e-6, 1e-2),
+    )
+    def test_golden_section_array_finds_parabola_minima(self, parabolas, tol):
+        centre, left, right, scale = (np.array(v) for v in zip(*parabolas))
+
+        def fn(x, idx):
+            return scale[idx] * (x - centre[idx]) ** 2
+
+        found = golden_section_array(fn, centre - left, centre + right, tol)
+        assert np.all(np.abs(found - centre) <= tol)
+        for k in range(len(parabolas)):
+            alone = golden_section(lambda x: fn(x, k), centre[k] - left[k], centre[k] + right[k], tol)
+            assert alone == found[k]
+
+
+def _pairwise_greedy(results, angle_tol=2.0, b_tol=2e-3):
+    kept = []
+    for ct in sorted(results, key=lambda c: c.gradient_norm):
+        u = _unit_vectors(ct.theta, ct.phi)
+        dup = False
+        for other in kept:
+            if other.branch != ct.branch:
+                continue
+            v = _unit_vectors(other.theta, other.phi)
+            ang = math.degrees(math.acos(float(np.clip(u @ v, -1.0, 1.0))))
+            if ang <= angle_tol and abs(ct.b_star - other.b_star) <= b_tol:
+                dup = True
+                break
+        if not dup:
+            kept.append(ct)
+    return sorted(kept, key=lambda c: (c.branch, c.theta, c.phi))
+
+
+class TestDeduplicate:
+    def test_matches_pairwise_greedy(self):
+        def point(b, theta, phi, branch, grad):
+            return ClockTransition(1, b, theta, phi, branch, 1.0, grad)
+
+        edges = [
+            point(0.020, 50.0, 30.0, BRANCH_DD, 1e-6),
+            point(0.020, 50.0, 30.0, BRANCH_UU, 2e-6),  # same point, other branch
+            point(0.020, 51.99, 30.0, BRANCH_DD, 3e-6),  # 1.99 degrees away
+            point(0.020, 52.01, 30.0, BRANCH_DD, 4e-6),  # 2.01 degrees away
+            point(0.02199, 50.0, 30.0, BRANCH_DD, 5e-6),  # 1.99 mT away
+            point(0.02201, 50.0, 30.0, BRANCH_DD, 6e-6),  # 2.01 mT away
+            point(0.030, 1.0, 179.0, BRANCH_DD, 7e-6),
+            point(0.030, 1.0, -179.0, BRANCH_DD, 8e-6),  # across the phi cut
+        ]
+        rng = np.random.default_rng(11)
+        cluster = [
+            point(
+                0.01 + rng.uniform(-3e-3, 3e-3),
+                90.0 + rng.uniform(-3.0, 3.0),
+                rng.uniform(-3.0, 3.0),
+                BRANCHES[rng.integers(0, 2)],
+                rng.uniform(0.0, 1e-3),
+            )
+            for _ in range(200)
+        ]
+        results = edges + cluster
+        kept = _deduplicate(results)
+        assert kept == _pairwise_greedy(results)
+        assert [p in kept for p in edges] == [True, True, False, True, False, True, True, False]
+        assert 1 < sum(p in kept for p in cluster) < 100
 
 
 class TestBroadeningMap:
