@@ -8,8 +8,10 @@ synth, find-peaks, verify.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .geometry import (
 )
 from .hamiltonian import hyperfine_splitting, quadratic_shift
 from .search import (
-    GridSpec,
     SearchError,
     SiteModel,
     branching_map,
@@ -80,18 +81,22 @@ def _field_vector(args) -> np.ndarray:
     return lab_to_cartesian(LabField(args.b_mag, args.theta, args.phi))
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    return value
+
+
 def _resolved(config: RunConfig, args) -> RunConfig:
     convention = getattr(args, "convention", None) or config.convention
     grid = config.grid
     b_step = getattr(args, "b_step", None)
     angle_step = getattr(args, "angle_step", None)
-    if b_step or angle_step:
-        grid = GridSpec(
-            b_max=grid.b_max,
-            b_step=b_step or grid.b_step,
-            theta_step=angle_step or grid.theta_step,
-            phi_step=angle_step or grid.phi_step,
-        )
+    if b_step is not None:
+        grid = replace(grid, b_step=_positive("--b-step", b_step))
+    if angle_step is not None:
+        angle_step = _positive("--angle-step", angle_step)
+        grid = replace(grid, theta_step=angle_step, phi_step=angle_step)
     return RunConfig(config.ground, config.excited, convention, grid, config.scan, config.seed)
 
 
@@ -255,6 +260,8 @@ def cmd_branching_map(config: RunConfig, args) -> int:
 
 
 def cmd_synth(config: RunConfig, args) -> int:
+    _positive("--linewidth", args.linewidth)
+    _positive("--step", args.step)
     b = _field_vector(args)
     seed = args.seed if args.seed is not None else config.seed
     if args.kind == "shb":
@@ -290,6 +297,10 @@ def cmd_synth(config: RunConfig, args) -> int:
 
 
 def cmd_find_peaks(config: RunConfig, args) -> int:
+    if args.window < 1 or args.window % 2 == 0:
+        raise ConfigError(f"--window must be odd and >= 1, got {args.window}")
+    if not (math.isfinite(args.prominence) and args.prominence >= 0):
+        raise ConfigError(f"--prominence must be finite and >= 0, got {args.prominence}")
     try:
         with open(args.data, "r", encoding="utf-8") as fh:
             lines = [
@@ -297,14 +308,14 @@ def cmd_find_peaks(config: RunConfig, args) -> int:
                 for l in fh.read().splitlines()
                 if l.strip() and not l.lstrip().startswith("#")
             ]
-        data = np.array(
-            [[float(c) for c in l.split(",")[:2]] for l in lines[1:]]
-        )
-    except (OSError, ValueError, IndexError) as exc:
+        if len(lines) < 2:
+            raise ValueError("no samples after the header line")
+        data = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 1), ndmin=2)
+        if not np.isfinite(data).all():
+            raise ValueError("offsets and amplitudes must be finite")
+        trace = SpectrumTrace(data[:, 0], data[:, 1], "shb")
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trace {args.data!r}: {exc}")
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError(f"{args.data}: expected two columns (offset_MHz, amplitude)")
-    trace = SpectrumTrace(data[:, 0], data[:, 1], "shb")
     peaks = find_peaks(trace, window=args.window, prominence=args.prominence)
     print("offset_MHz,amplitude")
     for off, amp in peaks:

@@ -28,10 +28,3 @@ EXCITED_AJ_LAMBDA = (-1.55e-4, -3.95e-3, -5.57e-4)
 # constants), so both parameterizations are kept.
 GROUND_G_MEASURED = (27.0, 146.0, 36.0)
 EXCITED_G_MEASURED = (7.0, 92.0, 16.0)
-
-# Reported 1-sigma uncertainties on the measured g values, MHz/T.
-GROUND_G_SIGMA = (1.7, 1.5, 2.6)
-EXCITED_G_SIGMA = (2.5, 2.8, 3.1)
-
-# Curvature unit conversion: 1 GHz/T^2 == 10 Hz/G^2.
-HZ_PER_G2_PER_GHZ_PER_T2 = 10.0

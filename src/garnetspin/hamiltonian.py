@@ -26,7 +26,6 @@ from .geometry import LocalField
 
 SPIN_UP = 0.5
 SPIN_DOWN = -0.5
-SPIN_STATES = (SPIN_DOWN, SPIN_UP)
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,6 @@ class LevelModel:
 
     def splitting(self, b: LocalField) -> float:
         return hyperfine_splitting(self.g, b)
-
-    def energy(self, m: float, b: LocalField) -> float:
-        return -m * self.splitting(b) + quadratic_shift(self.constants_, self.tensor, b)
 
 
 def default_models(parameterization: str = "hybrid") -> tuple[LevelModel, LevelModel]:

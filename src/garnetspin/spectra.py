@@ -158,6 +158,25 @@ def synth_odnmr(
     return SpectrumTrace(offsets, amplitude, "odnmr")
 
 
+def _flank_minima(values) -> list[float]:
+    """Per sample, the minimum back to the last strictly higher sample.
+
+    The minimum includes the sample itself and runs to the trace edge
+    when no earlier sample is higher.  One pass over a stack of
+    ``(value, minimum since the entry below)`` whose values strictly
+    decrease from the bottom, so the cost is linear in ``len(values)``.
+    """
+    minima = []
+    stack: list[tuple[float, float]] = []
+    for v in values:
+        low = v
+        while stack and stack[-1][0] <= v:
+            low = min(low, stack.pop()[1])
+        stack.append((v, low))
+        minima.append(low)
+    return minima
+
+
 def find_peaks(
     trace: SpectrumTrace, window: int = 5, prominence: float = 0.1
 ) -> list[tuple[float, float]]:
@@ -167,6 +186,10 @@ def find_peaks(
     strict local maxima are kept when they rise at least ``prominence``
     above the higher of the two flanking minima, and each peak position
     is refined by a 3-point parabola.  Peaks return sorted by offset.
+    A flanking minimum is the lowest sample between the peak and the
+    nearest strictly higher sample on that side (or the trace edge), the
+    definition of SciPy's ``peak_prominences``; the cost is linear in
+    the trace length.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
@@ -178,30 +201,21 @@ def find_peaks(
         pad = window // 2
         padded = np.pad(y, pad, mode="edge")
         y = np.convolve(padded, kernel, mode="valid")
-    peaks = []
     n = y.size
+    y = y.tolist()
+    left_min = _flank_minima(y)
+    right_min = _flank_minima(y[::-1])[::-1]
+    step = trace.offsets[1] - trace.offsets[0] if n > 1 else 0.0
+    peaks = []
     for i in range(1, n - 1):
         if not (y[i] > y[i - 1] and y[i] >= y[i + 1]):
             continue
-        # prominence: drop to the highest flanking minimum before a
-        # higher sample (or the trace edge) is reached
-        left_min = y[i]
-        j = i - 1
-        while j >= 0 and y[j] <= y[i]:
-            left_min = min(left_min, y[j])
-            j -= 1
-        right_min = y[i]
-        j = i + 1
-        while j < n and y[j] <= y[i]:
-            right_min = min(right_min, y[j])
-            j += 1
-        if y[i] - max(left_min, right_min) < prominence:
+        if y[i] - max(left_min[i], right_min[i]) < prominence:
             continue
         denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
         frac = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-        frac = float(np.clip(frac, -0.5, 0.5))
-        step = trace.offsets[1] - trace.offsets[0] if n > 1 else 0.0
-        peaks.append((float(trace.offsets[i] + frac * step), float(y[i])))
+        frac = min(max(frac, -0.5), 0.5)
+        peaks.append((float(trace.offsets[i] + frac * step), y[i]))
     return sorted(peaks, key=lambda p: p[0])
 
 

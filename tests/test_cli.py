@@ -298,6 +298,78 @@ class TestAxis:
         assert "--axis" in err
 
 
+class TestBadInput:
+    """Bad numeric arguments and traces exit 2 with a one-line error."""
+
+    def write_trace(self, tmp_path, offsets, amplitudes):
+        path = tmp_path / "trace.csv"
+        rows = "".join(f"{o},{a}\n" for o, a in zip(offsets, amplitudes))
+        path.write_text("offset_MHz,amplitude\n" + rows)
+        return str(path)
+
+    def assert_rejected(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--window", "4"), ("--window", "0"), ("--prominence", "nan"), ("--prominence", "-0.1")],
+    )
+    def test_find_peaks_arguments(self, capsys, tmp_path, flag, value):
+        data = self.write_trace(tmp_path, range(5), [0, 1, 0, 1, 0])
+        self.assert_rejected(capsys, ["find-peaks", "--data", data, flag, value], flag)
+
+    @pytest.mark.parametrize(
+        "offsets, amplitudes, name",
+        [
+            ([0, 1, 3, 4], [0, 1, 0, 0], "uniform"),
+            ([0, 1, 2, 3], [0, "nan", 1, 0], "finite"),
+            ([0, 1, 2, 3], [0, "inf", 1, 0], "finite"),
+            ([0, "inf", 2, 3], [0, 1, 0, 0], "finite"),
+        ],
+    )
+    def test_find_peaks_trace(self, capsys, tmp_path, offsets, amplitudes, name):
+        data = self.write_trace(tmp_path, offsets, amplitudes)
+        self.assert_rejected(capsys, ["find-peaks", "--data", data], name)
+
+    def test_header_only_trace(self, capsys, tmp_path):
+        data = self.write_trace(tmp_path, [], [])
+        self.assert_rejected(capsys, ["find-peaks", "--data", data], "no samples")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--linewidth", "0"), ("--step", "0"), ("--linewidth", "nan"), ("--step", "inf")],
+    )
+    @pytest.mark.parametrize("kind", ["shb", "odnmr"])
+    def test_synth_grid(self, capsys, kind, flag, value):
+        argv = ["synth", "--kind", kind, "--b-mag", "0.09", flag, value]
+        self.assert_rejected(capsys, argv, flag)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["scan-clock"], ["broadening-map", "--b-mag", "0.1"], ["branching-map"]],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_angle_step(self, capsys, command, value):
+        self.assert_rejected(capsys, [*command, "--angle-step", value], "--angle-step")
+
+    @pytest.mark.parametrize("value", ["0", "-0.001", "nan", "inf"])
+    def test_b_step(self, capsys, value):
+        self.assert_rejected(capsys, ["scan-clock", "--b-step", value], "--b-step")
+
+    def test_angle_step_is_used(self, capsys, tmp_path):
+        path = tmp_path / "map.csv"
+        argv = ["broadening-map", "--b-mag", "0.1", "--angle-step", "30", "--out", str(path)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+        # 7 theta by 12 phi values on the 30-degree grid
+        assert len(rows) == 7 * 12
+
+
 class TestVerify:
     def test_fast_report_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fast")

@@ -1,14 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from garnetspin.cli import main
 from garnetspin.geometry import symmetry_classes
 from garnetspin.hamiltonian import EffectiveGTensor, default_models, hyperfine_splitting
 from garnetspin.geometry import LocalField, project_onto_site, site_frame
 from garnetspin.spectra import (
     Feature,
     SpectrumTrace,
+    _flank_minima,
     find_dips,
     find_peaks,
     predict_hole_offsets,
@@ -164,3 +169,113 @@ class TestFindPeaks:
         found = [p[0] for p in found_pos] + [p[0] for p in found_neg]
         for f in features:
             assert any(abs(f.offset - x) <= lw / 5.0 for x in found), f
+
+
+def walk_find_peaks(trace, window, prominence):
+    """Reference: each maximum walks out to a higher sample on both sides."""
+    y = np.asarray(trace.amplitude, dtype=float)
+    if y.size == 0:
+        return []
+    if window > 1:
+        kernel = np.ones(window) / window
+        pad = window // 2
+        padded = np.pad(y, pad, mode="edge")
+        y = np.convolve(padded, kernel, mode="valid")
+    peaks = []
+    n = y.size
+    for i in range(1, n - 1):
+        if not (y[i] > y[i - 1] and y[i] >= y[i + 1]):
+            continue
+        left_min = y[i]
+        j = i - 1
+        while j >= 0 and y[j] <= y[i]:
+            left_min = min(left_min, y[j])
+            j -= 1
+        right_min = y[i]
+        j = i + 1
+        while j < n and y[j] <= y[i]:
+            right_min = min(right_min, y[j])
+            j += 1
+        if y[i] - max(left_min, right_min) < prominence:
+            continue
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        frac = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
+        frac = float(np.clip(frac, -0.5, 0.5))
+        step = trace.offsets[1] - trace.offsets[0] if n > 1 else 0.0
+        peaks.append((float(trace.offsets[i] + frac * step), float(y[i])))
+    return sorted(peaks, key=lambda p: p[0])
+
+
+# integer-valued samples make ties and plateaus common
+SAMPLES = st.one_of(
+    st.lists(st.integers(0, 3).map(float), max_size=40),
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=40),
+)
+
+
+def ripple_on_ramp(n):
+    i = np.arange(n)
+    return SpectrumTrace(0.02 * i, 0.001 * i + 0.01 * np.sin(2.0 * i), "shb")
+
+
+class TestLinearProminence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        SAMPLES,
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    def test_equals_walk_reference(self, samples, window, prominence):
+        trace = SpectrumTrace(0.1 * np.arange(len(samples)), np.array(samples), "shb")
+        assert find_peaks(trace, window, prominence) == walk_find_peaks(
+            trace, window, prominence
+        )
+        flipped = SpectrumTrace(trace.offsets, -trace.amplitude, "shb")
+        assert find_dips(trace, window, prominence) == [
+            (off, -amp) for off, amp in walk_find_peaks(flipped, window, prominence)
+        ]
+
+    @pytest.mark.filterwarnings("ignore:some peaks have a prominence of 0")
+    @settings(max_examples=200, deadline=None)
+    @given(SAMPLES)
+    def test_prominence_matches_scipy(self, samples):
+        signal = pytest.importorskip("scipy.signal")
+        y = np.array(samples)
+        maxima = [
+            i for i in range(1, y.size - 1) if y[i] > y[i - 1] and y[i] >= y[i + 1]
+        ]
+        trace = SpectrumTrace(np.arange(float(y.size)), y, "shb")
+        # at zero prominence every local maximum is reported
+        assert [amp for _, amp in find_peaks(trace, 1, 0.0)] == [y[i] for i in maxima]
+        if not maxima:
+            return
+        left = _flank_minima(y.tolist())
+        right = _flank_minima(y[::-1].tolist())[::-1]
+        ours = [y[i] - max(left[i], right[i]) for i in maxima]
+        theirs = signal.peak_prominences(y, maxima)[0]
+        assert np.allclose(ours, theirs, rtol=0.0, atol=1e-12)
+
+    def test_100k_ramp_under_one_second(self):
+        trace = ripple_on_ramp(100_000)
+        start = time.perf_counter()
+        peaks = find_peaks(trace, window=1, prominence=0.01)
+        elapsed = time.perf_counter() - start
+        assert len(peaks) > 30_000
+        assert elapsed < 1.0
+
+    def test_cli_stdout_matches_reference(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        argv = ["--seed", "3", "synth", "--b-mag", "0.09", "--axis", "0.3,0.5,0.8"]
+        assert main([*argv, "--noise", "0.003", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["find-peaks", "--data", str(path)]) == 0
+        out = capsys.readouterr().out
+        rows = [
+            l for l in path.read_text().splitlines() if l.strip() and not l.startswith("#")
+        ][1:]
+        data = np.array([[float(c) for c in l.split(",")[:2]] for l in rows])
+        peaks = walk_find_peaks(SpectrumTrace(data[:, 0], data[:, 1], "shb"), 5, 0.1)
+        assert peaks
+        assert out == "offset_MHz,amplitude\n" + "".join(
+            f"{off:.6g},{amp:.6g}\n" for off, amp in peaks
+        )
