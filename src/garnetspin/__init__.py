@@ -43,6 +43,7 @@ from .fitting import (
 from .spectra import SpectrumTrace, find_peaks, predict_hole_offsets, synth_odnmr, synth_shb
 from .search import (
     ClockTransition,
+    DegenerateError,
     GridSpec,
     OrientationMap,
     SiteModel,

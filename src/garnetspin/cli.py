@@ -43,6 +43,7 @@ from .geometry import (
 )
 from .hamiltonian import hyperfine_splitting, quadratic_shift
 from .search import (
+    DegenerateError,
     SearchError,
     SiteModel,
     branching_map,
@@ -69,6 +70,11 @@ def _parse_sites(spec: str) -> list[int]:
 
 
 def _field_vector(args) -> np.ndarray:
+    for flag, value in (("--b-mag", args.b_mag), ("--theta", args.theta), ("--phi", args.phi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.b_mag < 0:
+        raise ConfigError(f"--b-mag must be >= 0, got {args.b_mag}")
     if args.axis is not None:
         try:
             parts = [float(p) for p in args.axis.split(",")]
@@ -180,37 +186,35 @@ def cmd_fit(config: RunConfig, args) -> int:
 
 def cmd_scan_clock(config: RunConfig, args) -> int:
     sites = _parse_sites(args.site) if args.site else list(range(1, 7))
-    gg = config.ground.g.magnitudes()
-    ge = config.excited.g.magnitudes()
-    if np.ptp(gg) < 1e-9 and np.ptp(ge) < 1e-9:
-        print("no isolated solutions (isotropic tensors give a degenerate continuum)")
-        return EXIT_OK
-    rows = []
-    for sid in sites:
-        model = SiteModel(
-            sid, config.ground, config.excited, config.convention, args.splitting_model
-        )
-        for ct in find_clock_transitions(model, config.grid):
-            rows.append(
-                (
-                    ct.site,
-                    ct.b_star * 1e3,
-                    ct.theta,
-                    ct.phi,
-                    ct.branch[0],
-                    ct.branch[1],
-                    ct.curvature,
-                )
+    transitions = []
+    try:
+        for sid in sites:
+            model = SiteModel(
+                sid, config.ground, config.excited, config.convention, args.splitting_model
             )
-    rows.sort(key=lambda r: (r[0], r[4], r[5], r[2]))
+            transitions.extend(find_clock_transitions(model, config.grid))
+    except DegenerateError as exc:
+        print(exc)
+        return EXIT_OK
+    transitions.sort(key=lambda ct: (ct.site, ct.branch[0], ct.branch[1], ct.theta))
     header = ["site", "B_mT", "theta_deg", "phi_deg", "m_ground", "m_excited", "curvature_Hz_per_G2"]
     print(",".join(header))
-    if not rows:
+    if not transitions:
         print("# no isolated solutions")
-    for r in rows:
+    rows, notes = [], []
+    for ct in transitions:
+        r = (ct.site, ct.b_star * 1e3, ct.theta, ct.phi, ct.branch[0], ct.branch[1], ct.curvature)
+        rows.append(r)
         print(f"{r[0]},{r[1]:.3f},{r[2]:.2f},{r[3]:.2f},{r[4]:+.1f},{r[5]:+.1f},{r[6]:.2f}")
+        if ct.degenerate:
+            ux = float(site_frame(ct.site).x_axis @ lab_to_cartesian(LabField(1.0, ct.theta, ct.phi)))
+            notes.append(
+                f"degenerate: site {r[0]} branch ({r[4]:+.1f},{r[5]:+.1f}) at ({r[2]:.2f}, {r[3]:.2f}) "
+                f"stands for its whole circle u.x = {round(ux, 4) + 0.0:.4f} about local x"
+            )
+            print(f"# {notes[-1]}")
     if args.out:
-        write_table(args.out, header, rows, comments=[f"convention: {config.convention}"])
+        write_table(args.out, header, rows, comments=[f"convention: {config.convention}", *notes])
     return EXIT_OK
 
 
@@ -221,9 +225,10 @@ def cmd_broadening_map(config: RunConfig, args) -> int:
         m = broadening_map(model, args.b_mag, config.grid)
         print(f"# site {sid}: {len(m.extrema)} stationary points")
         for e in m.extrema:
+            ring = "; degenerate: stands for the circle u.x = 0" if e["degenerate"] else ""
             print(
                 f"#   {e['kind']} at ({e['theta_deg']:.1f}, {e['phi_deg']:.1f}) deg, "
-                f"splitting {e['splitting_MHz']:.4f} MHz"
+                f"splitting {e['splitting_MHz']:.4f} MHz{ring}"
             )
         if args.out:
             path = args.out if len(sites) == 1 else f"{args.out}.site{sid}"
@@ -262,6 +267,8 @@ def cmd_branching_map(config: RunConfig, args) -> int:
 def cmd_synth(config: RunConfig, args) -> int:
     _positive("--linewidth", args.linewidth)
     _positive("--step", args.step)
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
     b = _field_vector(args)
     seed = args.seed if args.seed is not None else config.seed
     if args.kind == "shb":
@@ -329,6 +336,8 @@ def cmd_verify(config: RunConfig, args) -> int:
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: measured {c.measured}; expected {c.expected}; tol {c.tolerance}")
+        for line in c.details:
+            print(f"    {line}")
         all_ok &= c.passed
     print("verify:", "all checks passed" if all_ok else "some checks FAILED")
     return EXIT_OK if all_ok else 1

@@ -331,41 +331,22 @@ def filter_host_spins(resonances, scan: RotationScan, low=9.0, high=11.0, flatne
     return kept, removed
 
 
-def golden_section_array(fn, lo, hi, tol):
-    """Minimize a batch of unimodal scalar functions, function i on [lo[i], hi[i]].
-
-    ``fn(x, idx)`` returns the values of the functions numbered ``idx`` at
-    the points ``x``.  Each bracket shrinks until its own width is at most
-    ``tol`` and is then left alone, so function i is evaluated at exactly
-    the points a search of it alone would visit.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    every = np.arange(a.size)
-    fc, fd = fn(c, every), fn(d, every)
-    active = every[(b - a) > tol]
-    while active.size:
-        left = fc[active] < fd[active]
-        lt, rt = active[left], active[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-        f = fn(np.where(left, c[active], d[active]), active)
-        fc[lt], fd[rt] = f[left], f[~left]
-        active = active[(b[active] - a[active]) > tol]
-    return 0.5 * (a + b)
-
-
 def golden_section(fn, lo, hi, tol=1e-4):
     """Minimize a unimodal scalar function on [lo, hi]."""
-
-    def values(x, _):
-        return np.array([fn(float(v)) for v in x])
-
-    return float(golden_section_array(values, [lo], [hi], tol)[0])
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 def fit_angular_offset(problem: FitProblem, g: EffectiveGTensor, half_range=10.0) -> float:

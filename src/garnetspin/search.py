@@ -8,38 +8,65 @@ quadratic in the field magnitude,
 where sigma combines the two doublet splittings per tesla for the
 chosen spin branch and q is the difference of the quadratic Zeeman
 coefficients.  A clock transition is a field point where the magnitude
-derivative and both angular derivatives vanish simultaneously; the grid
-seeds candidates and local refinement polishes them.
+derivative and both angular derivatives vanish.  The magnitude
+derivative vanishes at B* = -sigma/(2q), where the shift takes the value
+F(u) = -sigma^2/(4q); since d(dE)/dB = 0 there, the angular derivatives
+of dE at B* are those of F.  The clock transitions are therefore the
+stationary points of F on the unit sphere with B* in (0, b_max], and
+they are found in closed form (``_stationary_directions``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import golden_section_array
-from .geometry import site_frame
+from .geometry import cartesian_to_angles, site_frame
 from .hamiltonian import LevelModel, default_models
 
 SPLITTING_MODELS = ("sqrt", "linear")
 BRANCHES = ((-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5))
 
-FIELD_DERIV_TOL = 1e-6     # MHz/T
-ANGULAR_GRAD_TOL = 1e-3    # MHz/degree
 HZ_PER_G2_PER_MHZ_PER_T2 = 0.01
 _FD_ANGLE_DEG = 0.01
-_CURV_STEP_T = 1e-4
+_SQ2 = math.sqrt(2.0)
+
+# Unit local directions whose squares span the local components a
+# convention can reach: the three axes, or under equal-projection the x
+# axis and the in-plane diagonal, which stands for the whole circle u.x = 0.
+_BASIS = {
+    "si-table": np.eye(3),
+    "equal-projection": np.array([[1.0, 0.0, 0.0], [0.0, 1.0 / _SQ2, 1.0 / _SQ2]]),
+}
+
+# Sign changes of the local components that map a stationary direction of
+# F onto another one: F is even in each component in the sqrt model and
+# even in c under the linear model; equal-projection fixes the in-plane signs.
+_FLIPS = {
+    ("sqrt", "si-table"): np.array(list(itertools.product((1.0, -1.0), repeat=3))),
+    ("sqrt", "equal-projection"): np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]),
+    ("linear", "si-table"): np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]),
+    ("linear", "equal-projection"): np.ones((1, 3)),
+}
 
 
 class SearchError(ValueError):
     """Invalid search input."""
 
 
+class DegenerateError(SearchError):
+    """The stationary set is a continuum, so there are no isolated solutions."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Search mesh: field magnitudes and angular steps."""
+    """Orientation mesh of the maps (angular steps) and clock field limit b_max.
+
+    The clock-transition search is closed form and uses only ``b_max``.
+    """
 
     b_max: float = 0.1
     b_step: float = 1e-3
@@ -47,6 +74,9 @@ class GridSpec:
     phi_step: float = 1.0
 
     def __post_init__(self):
+        values = (self.b_max, self.b_step, self.theta_step, self.phi_step)
+        if not all(math.isfinite(v) for v in values):
+            raise SearchError("grid values must be finite")
         if self.b_step <= 0 or self.theta_step <= 0 or self.phi_step <= 0:
             raise SearchError("grid steps must be positive")
         if self.b_step > self.b_max:
@@ -55,7 +85,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ClockTransition:
-    """One converged zero-derivative field point."""
+    """One zero-derivative field point.
+
+    ``degenerate`` marks a representative of a circle of constant u.x
+    (equal-projection convention), every point of which is a solution.
+    """
 
     site: int
     b_star: float
@@ -64,6 +98,7 @@ class ClockTransition:
     branch: tuple[float, float]
     curvature: float
     gradient_norm: float
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,6 +120,14 @@ def _unit_vectors(theta_deg, phi_deg):
     ph = np.radians(phi_deg)
     st = np.sin(th)
     return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
+
+
+def _orientation_grid(grid: GridSpec):
+    """(thetas, phis, unit vectors on their mesh) of a map."""
+    thetas = np.arange(0.0, 180.0 + 1e-9, grid.theta_step)
+    phis = np.arange(-180.0 + grid.phi_step, 180.0 + 1e-9, grid.phi_step)
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    return thetas, phis, _unit_vectors(tg, pg)
 
 
 class SiteModel:
@@ -163,65 +206,6 @@ class SiteModel:
         """Analytic magnitude derivative d(dE)/dB, MHz/T."""
         return self.sigma(u, branch) + 2.0 * self.quad_coeff(u) * b_mag
 
-    # -- elementwise path used by refinement --
-
-    def _sigma_q(self, ux, uy, uz, m_g, m_e):
-        """sigma and q at lab directions (ux, uy, uz) for branch spins (m_g, m_e).
-
-        The frame products are written as component sums, not
-        ``u @ frame.T``, so their rounding does not depend on the
-        matrix-product kernel: the golden-section comparisons in
-        refinement can turn on the last digits of the objective.
-        """
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = self.frame
-        c0 = ux * r00 + uy * r01 + uz * r02
-        c1 = ux * r10 + uy * r11 + uz * r12
-        c2 = ux * r20 + uy * r21 + uz * r22
-        if self.convention == "equal-projection":
-            c1 = c2 = np.sqrt(np.maximum(1.0 - c0 * c0, 0.0) / 2.0)
-        p0, p1, p2 = c0 * c0, c1 * c1, c2 * c2
-        if self.splitting_model == "sqrt":
-            gg2, ge2 = self._gg ** 2, self._ge ** 2
-            sg = np.sqrt(gg2[0] * p0 + gg2[1] * p1 + gg2[2] * p2)
-            se = np.sqrt(ge2[0] * p0 + ge2[1] * p1 + ge2[2] * p2)
-        else:
-            gg, ge = self._gg, self._ge
-            sg = gg[0] * c0 + gg[1] * c1 + gg[2] * c2
-            se = ge[0] * c0 + ge[1] * c1 + ge[2] * c2
-        dq = self._dq
-        return m_g * sg - m_e * se, dq[0] * p0 + dq[1] * p1 + dq[2] * p2
-
-    def _clock_objective(self, theta, phi, m_g, m_e, b_max, step_deg=_FD_ANGLE_DEG):
-        """(angular gradient norm at the extremum field, that field), elementwise.
-
-        ``theta``, ``phi`` in degrees; ``m_g``, ``m_e`` are the branch spins
-        of each point.  The norm is inf and the field nan where the
-        orientation has no positive-field magnitude extremum within b_max.
-        """
-        th, ph = np.radians(theta), np.radians(phi)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        ux, uy, uz = st * cp, st * sp, ct
-        sigma, q = self._sigma_q(ux, uy, uz, m_g, m_e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = -sigma / (2.0 * q)
-        ok = (b > 0.0) & (b <= b_max) & np.isfinite(b)
-        b = np.where(ok, b, np.nan)
-        # (e_theta, e_phi); at the poles <100> and <010> instead
-        pole = np.abs(st) <= 1e-9
-        e_t = (np.where(pole, 1.0, ct * cp), np.where(pole, 0.0, ct * sp), np.where(pole, 0.0, -st))
-        e_p = (np.where(pole, 0.0, -sp), np.where(pole, np.abs(ct), cp), np.zeros_like(st))
-        # rows: +e_theta, -e_theta, +e_phi, -e_phi
-        h = math.radians(step_deg)
-        ch, sh = math.cos(h), math.sin(h)
-        shift = np.array([sh, -sh, sh, -sh])[:, None]
-        v = [ch * uc + shift * np.stack([t, t, p, p]) for uc, t, p in zip((ux, uy, uz), e_t, e_p)]
-        s2, q2 = self._sigma_q(*v, m_g, m_e)
-        f = s2 * b + q2 * b * b
-        g_theta = (f[0] - f[1]) / (2.0 * step_deg)
-        g_phi = (f[2] - f[3]) / (2.0 * step_deg)
-        return np.where(ok, np.hypot(g_theta, g_phi), np.inf), b
-
 
 def _tangent_basis(u):
     """Orthonormal tangent vectors (e_theta-like, e_phi-like) at u.
@@ -243,275 +227,227 @@ def _tangent_basis(u):
     return e_theta, e_phi
 
 
-def _rotate_towards(u, t, angle_rad):
-    return math.cos(angle_rad) * u + math.sin(angle_rad) * t
-
-
-def _angular_gradient_components(model: SiteModel, b_mag, u, branch, step_deg=_FD_ANGLE_DEG):
-    e_theta, e_phi = _tangent_basis(u)
-    h = math.radians(step_deg)
-    out = []
-    for t in (e_theta, e_phi):
-        up = _rotate_towards(u, t, h)
-        um = _rotate_towards(u, t, -h)
-        out.append((model.shift(b_mag, up, branch) - model.shift(b_mag, um, branch)) / (2.0 * step_deg))
-    return out[0], out[1]
-
-
 def angular_gradient(
     model: SiteModel, b_mag: float, theta: float, phi: float, branch, step_deg=_FD_ANGLE_DEG
 ) -> float:
-    """Norm of the angular derivative of the shift, MHz/degree."""
+    """Norm of the angular derivative of the shift at fixed B, MHz/degree.
+
+    Central finite differences along two great circles; an independent
+    check on :func:`sphere_gradient`.
+    """
     if b_mag <= 0:
         raise SearchError("field magnitude must be positive")
     u = _unit_vectors(theta, phi)
-    ft, fp = _angular_gradient_components(model, b_mag, u, branch, step_deg)
-    return float(np.hypot(ft, fp))
+    h = math.radians(step_deg)
+    out = []
+    for t in _tangent_basis(u):
+        up = math.cos(h) * u + math.sin(h) * t
+        um = math.cos(h) * u - math.sin(h) * t
+        out.append((model.shift(b_mag, up, branch) - model.shift(b_mag, um, branch)) / (2.0 * step_deg))
+    return float(np.hypot(out[0], out[1]))
+
+
+def sphere_gradient(model: SiteModel, u, branch):
+    """Analytic gradient of F(u) = -sigma^2/(4q), the shift at B*, on the unit sphere.
+
+    Lab-frame tangent vectors, MHz per radian.  Since d(dE)/dB = 0 at
+    B*, dF = B* dsigma + B*^2 dq.  Under equal-projection F depends on
+    the angle alpha between u and local x alone, and the gradient is
+    dF/dalpha along the meridian away from x; it is reported as zero at
+    u = +-x, where the linear model has a cone point instead.
+    """
+    u = np.asarray(u, dtype=float)
+    m_g, m_e = branch
+    c = model.local_components(u)
+    sg, se = model.splittings_per_tesla(u)
+    q = (c ** 2) @ model._dq
+    b = (-(m_g * sg - m_e * se) / (2.0 * q))[..., None]
+    if model.splitting_model == "sqrt":
+        dsigma = m_g * c * model._gg ** 2 / sg[..., None] - m_e * c * model._ge ** 2 / se[..., None]
+    else:
+        dsigma = m_g * model._gg - m_e * model._ge
+    dfdc = b * dsigma + 2.0 * b * b * model._dq * c
+    if model.convention == "equal-projection":
+        cx = c[..., :1]
+        sin_a = np.sqrt(np.clip(1.0 - cx ** 2, 0.0, None))
+        dfda = -sin_a * dfdc[..., :1] + cx * (dfdc[..., 1:2] + dfdc[..., 2:]) / _SQ2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meridian = np.where(sin_a > 0, (cx * u - model.frame[0]) / sin_a, 0.0)
+        return dfda * meridian
+    grad = dfdc @ model.frame
+    return grad - np.sum(grad * u, axis=-1, keepdims=True) * u
+
+
+def _b_star(model: SiteModel, u, branch, b_max):
+    """(B*, q) per direction; B* is nan where q = 0 or B* is outside (0, b_max]."""
+    sigma, q = model.sigma(u, branch), model.quad_coeff(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = -sigma / (2.0 * q)
+    return np.where((b > 0.0) & (b <= b_max), b, np.nan), q
 
 
 def field_extremum(
     model: SiteModel, theta: float, phi: float, branch, grid: GridSpec
 ) -> float | None:
-    """Positive field magnitude where d(dE)/dB = 0, if any in (0, b_max].
+    """Field magnitude B* = -sigma/(2q) where d(dE)/dB = 0, or None if not in (0, b_max]."""
+    b, _ = _b_star(model, _unit_vectors(theta, phi), branch, grid.b_max)
+    return float(b) if np.isfinite(b) else None
 
-    Coarse scan at ``b_step`` locates a sign change of the analytic
-    derivative, then bisection tightens it below 1e-6 MHz/T.
+
+def curvature(model: SiteModel, b_mag: float, theta: float, phi: float, branch) -> float:
+    """Second magnitude derivative of the shift, exactly 2q, in Hz/G^2.
+
+    The shift is quadratic in B, so the value depends neither on
+    ``b_mag`` nor on ``branch``.
     """
-    u = _unit_vectors(theta, phi)
-    n = int(math.floor(grid.b_max / grid.b_step + 1e-9))
-    bs = grid.b_step * np.arange(0, n + 1)
-    d = model.shift_db(bs, u, branch)
-    sign_change = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-    exact = np.nonzero(np.abs(d) < FIELD_DERIV_TOL)[0]
-    if len(sign_change) == 0:
-        if len(exact) and bs[exact[0]] > 0:
-            return float(bs[exact[0]])
-        return None
-    lo, hi = bs[sign_change[0]], bs[sign_change[0] + 1]
-    dlo = model.shift_db(lo, u, branch)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        dm = model.shift_db(mid, u, branch)
-        if abs(dm) < FIELD_DERIV_TOL:
-            return float(mid)
-        if np.sign(dm) == np.sign(dlo):
-            lo, dlo = mid, dm
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return 2.0 * float(model.quad_coeff(_unit_vectors(theta, phi))) * HZ_PER_G2_PER_MHZ_PER_T2
 
 
-def curvature(model: SiteModel, ct_b: float, theta: float, phi: float, branch) -> float:
-    """Second magnitude derivative at a solution, Hz/G^2 (central FD)."""
-    u = _unit_vectors(theta, phi)
-    h = _CURV_STEP_T
-    d2 = (
-        model.shift(ct_b + h, u, branch)
-        - 2.0 * model.shift(ct_b, u, branch)
-        + model.shift(ct_b - h, u, branch)
-    ) / h ** 2
-    return float(d2) * HZ_PER_G2_PER_MHZ_PER_T2
+def _continuum(model: SiteModel) -> bool:
+    """True when G_g, G_e and D, restricted to the reachable simplex, are dependent.
 
-
-def _b_star_grid(model: SiteModel, u, branch, grid: GridSpec):
-    """Vectorized closed-form extremum field (quadratic model)."""
-    sigma = model.sigma(u, branch)
-    q = model.quad_coeff(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = -sigma / (2.0 * q)
-    b = np.where((b > 0) & (b <= grid.b_max) & np.isfinite(b), b, np.nan)
-    return b
-
-
-def _grad_norm_grid(model: SiteModel, b, u, branch):
-    e_theta, e_phi = _tangent_basis(u)
-    h = math.radians(_FD_ANGLE_DEG)
-    bt = b[..., None] if b.ndim < u.ndim else b
-    comps = []
-    for t in (e_theta, e_phi):
-        up = np.cos(h) * u + np.sin(h) * t
-        um = np.cos(h) * u - np.sin(h) * t
-        comps.append(
-            (model.shift(b, up, branch) - model.shift(b, um, branch)) / (2.0 * _FD_ANGLE_DEG)
-        )
-    return np.hypot(comps[0], comps[1])
-
-
-def _descend(model: SiteModel, theta, phi, m_g, m_e, grid: GridSpec):
-    """Cyclic coordinate descent on the angular gradient norm, all seeds at once.
-
-    The magnitude coordinate is eliminated analytically: at each
-    orientation the candidate field is the quadratic-model extremum, so
-    only (theta, phi) are searched.  Every seed keeps its own golden-section
-    brackets, so it follows the path it would follow if refined alone.
+    F is then a function of the ratio G_e.p / G_g.p alone (or constant),
+    and its stationary set is made of whole lines of the simplex.
     """
-
-    def norm(th, ph, i):
-        return model._clock_objective(th, ph, m_g[i], m_e[i], grid.b_max)[0]
-
-    span = max(grid.theta_step, grid.phi_step)
-    for _ in range(20):
-        theta = golden_section_array(lambda t, i: norm(t, phi[i], i), theta - span, theta + span, 1e-5)
-        phi = golden_section_array(lambda p, i: norm(theta[i], p, i), phi - span, phi + span, 1e-5)
-        span *= 0.5
-        if span < 1e-4:
-            break
-    grad, b = model._clock_objective(theta, phi, m_g, m_e, grid.b_max)
-    return theta, phi, b, grad
+    vertices = _BASIS[model.convention] ** 2
+    m = np.stack([model._gg ** 2, model._ge ** 2, model._dq]) @ vertices.T
+    scale = np.abs(m).max(axis=1, keepdims=True)
+    m = m / np.where(scale > 0.0, scale, 1.0)
+    return np.linalg.matrix_rank(m, tol=1e-9) < len(vertices)
 
 
-def _canonical_angles(theta, phi):
-    theta = theta % 360.0
-    if theta > 180.0:
-        theta = 360.0 - theta
-        phi += 180.0
-    phi = (phi + 180.0) % 360.0 - 180.0
-    if phi <= -180.0:
-        phi += 360.0
-    return theta, phi
+def _stationary_directions(model: SiteModel, branch) -> list[np.ndarray]:
+    """Local unit directions where F is stationary, one per class of ``_FLIPS``.
+
+    sqrt model: F depends on u only through p = c^2, a point of the
+    simplex spanned by the vertices V = ``_BASIS``^2.  With G = g^2 and
+    D = ``_dq``, map p to (X, Y) = (G_g.p, G_e.p) / (D.p); there
+    F = -(m_g sqrt(X) - m_e sqrt(Y))^2 / 4, whose gradient vanishes only
+    where sigma = 0.  When G_g, G_e and D are independent (see
+    ``_continuum``) no stationary point with B* != 0 lies inside the
+    simplex.  Every vertex is stationary.  An edge maps onto a line with
+    direction (dX, dY), and F is stationary on it where
+    m_g dX / sqrt(X) = m_e dY / sqrt(Y).  That fixes Y/X, one linear
+    equation in p: with w_k = G_e.V_k dX^2 - G_g.V_k dY^2 the root is
+    p = (w_j V_i - w_i V_j) / (w_j - w_i), inside the edge when w_i w_j < 0.
+
+    linear model: F = -(a.c)^2 / (4 c^T D c) with a = m_g g_g - m_e g_e is
+    a Rayleigh quotient with a rank-1 numerator, stationary only at
+    c ~ a/D, or where a.c = 0 (sigma = 0, so B* = 0).
+    """
+    m_g, m_e = branch
+    basis = _BASIS[model.convention]
+    vertices = basis ** 2
+    if model.splitting_model == "linear":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = (basis @ (m_g * model._gg - m_e * model._ge)) / (vertices @ model._dq)
+        if not (np.all(np.isfinite(gamma)) and gamma.any()):
+            return []
+        # equal-projection reaches only a non-negative in-plane part
+        gamma = gamma if gamma[-1] >= 0.0 else -gamma
+        c = gamma @ basis
+        return [c / np.linalg.norm(c)]
+    a, b, d = (vertices @ v for v in (model._gg ** 2, model._ge ** 2, model._dq))
+    points = list(vertices)
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        dx = a[j] * d[i] - a[i] * d[j]
+        dy = b[j] * d[i] - b[i] * d[j]
+        if m_g * dx * m_e * dy <= 0.0:
+            continue
+        w_i = b[i] * dx ** 2 - a[i] * dy ** 2
+        w_j = b[j] * dx ** 2 - a[j] * dy ** 2
+        if w_i * w_j < 0.0:
+            points.append((w_j * vertices[i] - w_i * vertices[j]) / (w_j - w_i))
+    # a splitting that vanishes is not differentiable there (a cone point)
+    return [np.sqrt(p) for p in points if p @ model._gg ** 2 > 0.0 and p @ model._ge ** 2 > 0.0]
 
 
 def find_clock_transitions(
     model: SiteModel,
     grid: GridSpec | None = None,
     branches=BRANCHES,
-    seed_gradient: float = 1.0,
 ) -> list[ClockTransition]:
-    """All zero-derivative field points of one site, one per branch cluster.
+    """Every clock transition of one site, each sign copy, sorted by (branch, theta, phi).
 
-    Every grid orientation with a positive-field magnitude extremum is a
-    seed; local minima of the angular gradient norm below
-    ``seed_gradient`` MHz/degree are refined, and refined points are
-    accepted when both derivative thresholds hold.  Duplicates within
-    2 degrees and 2 mT collapse to the lowest-gradient representative.
+    Closed form: the stationary directions of F are solved in local
+    coordinates and mapped to the lab with the site frame, so sites
+    related by a frame rotation give the same local set.  Only
+    ``grid.b_max`` is used; directions with q = 0 or with B* outside
+    (0, b_max] are dropped.  B* = -sigma/(2q) and the curvature 2q are
+    exact.  Raises :class:`DegenerateError` when the stationary set is
+    a continuum.
     """
     grid = grid or GridSpec()
-    thetas = np.arange(0.0, 180.0 + 1e-9, grid.theta_step)
-    phis = np.arange(-180.0 + grid.phi_step, 180.0 + 1e-9, grid.phi_step)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    u = _unit_vectors(tg, pg)
-    seeds = []
-    for k, branch in enumerate(branches):
-        b = _b_star_grid(model, u, branch, grid)
-        norm = np.where(np.isfinite(b), _grad_norm_grid(model, b, u, branch), np.inf)
-        i, j = _local_minima(norm, seed_gradient)
-        seeds.append((tg[i, j], pg[i, j], np.full(i.size, k)))
-    theta, phi, which = (np.concatenate(a) for a in zip(*seeds))
-    spins = np.array(branches, dtype=float)[which]
-    theta, phi, b_ref, g_ref = _descend(model, theta, phi, spins[:, 0], spins[:, 1], grid)
+    if model.splitting_model == "sqrt" and _continuum(model):
+        raise DegenerateError(
+            "no isolated solutions (the squared ground and excited g and the "
+            "quadratic coefficients are linearly dependent: the stationary set "
+            "is a degenerate continuum)"
+        )
+    flips = _FLIPS[(model.splitting_model, model.convention)]
     results: list[ClockTransition] = []
-    # g_ref is inf wherever b_ref is not a field in (0, b_max]
-    for k in np.nonzero(g_ref < ANGULAR_GRAD_TOL)[0]:
-        branch = branches[which[k]]
-        th, ph = _canonical_angles(theta[k], phi[k])
-        db = abs(model.shift_db(b_ref[k], _unit_vectors(th, ph), branch))
-        if db >= FIELD_DERIV_TOL:
+    for branch in branches:
+        directions = _stationary_directions(model, branch)
+        if not directions:
             continue
-        curv = curvature(model, b_ref[k], th, ph, branch)
-        results.append(
-            ClockTransition(model.site_id, float(b_ref[k]), th, ph, branch, curv, float(g_ref[k]))
-        )
-    return _deduplicate(results)
+        # + 0.0 turns -0.0 into 0.0, so np.unique merges sign copies of zeros
+        local = np.unique(np.concatenate([c * flips for c in directions]) + 0.0, axis=0)
+        u = local @ model.frame
+        b, q = _b_star(model, u, branch, grid.b_max)
+        keep = np.isfinite(b)
+        local, u, b, q = local[keep], u[keep], b[keep], q[keep]
+        grad = np.linalg.norm(sphere_gradient(model, u, branch), axis=-1) * math.pi / 180.0
+        for k in range(len(u)):
+            theta, phi = cartesian_to_angles(u[k])
+            results.append(
+                ClockTransition(
+                    model.site_id,
+                    float(b[k]),
+                    theta,
+                    phi,
+                    branch,
+                    2.0 * float(q[k]) * HZ_PER_G2_PER_MHZ_PER_T2,
+                    float(grad[k]),
+                    model.convention == "equal-projection" and bool(local[k, 1] > 0.0),
+                )
+            )
+    return sorted(results, key=lambda c: (c.branch, c.theta, c.phi))
 
 
-def _local_minima(norm, threshold):
-    """Indices of 8-neighborhood local minima (phi wraps) below threshold."""
-    padded = np.pad(norm, ((1, 1), (0, 0)), constant_values=np.inf)
-    padded = np.concatenate([padded[:, -1:], padded, padded[:, :1]], axis=1)
-    center = padded[1:-1, 1:-1]
-    is_min = center <= threshold
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-            is_min &= center <= neighbor
-    return np.nonzero(is_min)
+def broadening_map(model: SiteModel, b_mag: float, grid: GridSpec | None = None) -> OrientationMap:
+    """Ground-splitting surface over orientation with its stationary points.
 
-
-def _deduplicate(results, angle_tol=2.0, b_tol=2e-3):
-    """Greedy, lowest gradient first: drop a point within ``angle_tol``
-    degrees and ``b_tol`` tesla of an already kept point on its branch."""
-    ordered = sorted(results, key=lambda c: c.gradient_norm)
-    n = len(ordered)
-    u = _unit_vectors(np.array([c.theta for c in ordered]), np.array([c.phi for c in ordered]))
-    b = np.array([c.b_star for c in ordered])
-    codes: dict = {}
-    branch = np.array([codes.setdefault(c.branch, len(codes)) for c in ordered], dtype=int)
-    kept_u, kept_b, kept_branch = np.empty((n, 3)), np.empty(n), np.empty(n, dtype=int)
-    kept: list[ClockTransition] = []
-    for i, ct in enumerate(ordered):
-        k = len(kept)
-        near = (
-            (kept_branch[:k] == branch[i])
-            & (np.abs(b[i] - kept_b[:k]) <= b_tol)
-            & (np.degrees(np.arccos(np.clip(kept_u[:k] @ u[i], -1.0, 1.0))) <= angle_tol)
-        )
-        if not near.any():
-            kept_u[k], kept_b[k], kept_branch[k] = u[i], b[i], branch[i]
-            kept.append(ct)
-    return sorted(kept, key=lambda c: (c.branch, c.theta, c.phi))
-
-
-def broadening_map(
-    model: SiteModel, b_mag: float, grid: GridSpec | None = None, grad_tol: float = 1e-3
-) -> OrientationMap:
-    """Ground-splitting surface over orientation with classified extrema.
-
-    Extrema are grid-local stationary points (angular gradient of the
-    splitting below ``grad_tol`` MHz/degree after refinement would be
-    ideal; here the grid minimum of the finite-difference norm is
-    reported), classified max/min/saddle by the 2x2 angular Hessian.
+    The squared splitting sum G_a c_a^2 is a Rayleigh quotient of
+    diag(G), so the splitting is stationary on the sphere only at the
+    six local +-axes: the smallest |g| gives the minimum, the largest
+    the maximum and the middle one a saddle.  Under equal-projection it
+    depends on u.x alone: the +-x points and the circle u.x = 0, listed
+    once and flagged ``degenerate``.
     """
-    if b_mag <= 0:
-        raise SearchError("field magnitude must be positive")
-    grid = grid or GridSpec()
-    thetas = np.arange(0.0, 180.0 + 1e-9, grid.theta_step)
-    phis = np.arange(-180.0 + grid.phi_step, 180.0 + 1e-9, grid.phi_step)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    u = _unit_vectors(tg, pg)
+    if model.splitting_model != "sqrt":
+        raise SearchError("broadening extrema are derived for the sqrt splitting model")
+    if not (math.isfinite(b_mag) and b_mag > 0):
+        raise SearchError("field magnitude must be finite and positive")
+    thetas, phis, u = _orientation_grid(grid or GridSpec())
     sg, _ = model.splittings_per_tesla(u)
-    values = sg * b_mag
-
-    e_theta, e_phi = _tangent_basis(u)
-    h = math.radians(_FD_ANGLE_DEG)
-
-    def split_at(vec):
-        s, _ = model.splittings_per_tesla(vec)
-        return s * b_mag
-
-    ft = (split_at(np.cos(h) * u + np.sin(h) * e_theta) - split_at(np.cos(h) * u - np.sin(h) * e_theta)) / (2 * _FD_ANGLE_DEG)
-    fp = (split_at(np.cos(h) * u + np.sin(h) * e_phi) - split_at(np.cos(h) * u - np.sin(h) * e_phi)) / (2 * _FD_ANGLE_DEG)
-    norm = np.hypot(ft, fp)
+    basis = _BASIS[model.convention]
+    levels = b_mag * np.sqrt(basis ** 2 @ model._gg ** 2)
     extrema = []
-    for i, j in zip(*_local_minima(norm, grad_tol * 100)):
-        kind = _classify_extremum(split_at, u[i, j], e_theta[i, j], e_phi[i, j])
-        extrema.append(
-            {
-                "theta_deg": float(tg[i, j]),
-                "phi_deg": float(pg[i, j]),
-                "splitting_MHz": float(values[i, j]),
-                "gradient_MHz_per_deg": float(norm[i, j]),
-                "kind": kind,
-            }
-        )
-    return OrientationMap(thetas, phis, values, tuple(extrema))
-
-
-def _classify_extremum(fn, u, et, ep, step_deg=0.1):
-    h = math.radians(step_deg)
-    f0 = fn(u)
-    out = []
-    for t in (et, ep):
-        fpp = fn(np.cos(h) * u + np.sin(h) * t)
-        fmm = fn(np.cos(h) * u - np.sin(h) * t)
-        out.append((fpp - 2 * f0 + fmm) / step_deg ** 2)
-    htt, hpp = out
-    if htt > 0 and hpp > 0:
-        return "min"
-    if htt < 0 and hpp < 0:
-        return "max"
-    return "saddle"
+    for c, value in zip(basis, levels):
+        kind = "min" if value == levels.min() else "max" if value == levels.max() else "saddle"
+        ring = model.convention == "equal-projection" and c[1] > 0.0
+        for copy in (c,) if ring else (c, -c):
+            theta, phi = cartesian_to_angles(copy @ model.frame)
+            extrema.append(
+                {
+                    "theta_deg": theta,
+                    "phi_deg": phi,
+                    "splitting_MHz": float(value),
+                    "kind": kind,
+                    "degenerate": bool(ring),
+                }
+            )
+    return OrientationMap(thetas, phis, sg * b_mag, tuple(extrema))
 
 
 def branching_ratio(model: SiteModel, u) -> np.ndarray:
@@ -530,11 +466,7 @@ def branching_ratio(model: SiteModel, u) -> np.ndarray:
 
 def branching_map(model: SiteModel, grid: GridSpec | None = None) -> OrientationMap:
     """Branching-ratio surface with the global maximum as sole extremum."""
-    grid = grid or GridSpec()
-    thetas = np.arange(0.0, 180.0 + 1e-9, grid.theta_step)
-    phis = np.arange(-180.0 + grid.phi_step, 180.0 + 1e-9, grid.phi_step)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    u = _unit_vectors(tg, pg)
+    thetas, phis, u = _orientation_grid(grid or GridSpec())
     values = branching_ratio(model, u)
     i, j = np.unravel_index(np.argmax(values), values.shape)
     x_axis = site_frame(model.site_id).x_axis
@@ -543,8 +475,8 @@ def branching_map(model: SiteModel, grid: GridSpec | None = None) -> Orientation
         math.acos(min(abs(float(udir @ x_axis)), 1.0))
     )
     extremum = {
-        "theta_deg": float(tg[i, j]),
-        "phi_deg": float(pg[i, j]),
+        "theta_deg": float(thetas[i]),
+        "phi_deg": float(phis[j]),
         "ratio": float(values[i, j]),
         "angle_to_local_x_deg": angle_to_x,
         "kind": "max",

@@ -26,11 +26,11 @@ from .hamiltonian import (
     hyperfine_splitting,
 )
 from .search import (
-    BRANCHES,
     GridSpec,
     SiteModel,
     branching_map,
     find_clock_transitions,
+    sphere_gradient,
 )
 
 # Independently reported clock-transition solutions used as the
@@ -72,6 +72,7 @@ class VerifyCheck:
     expected: str
     tolerance: str
     passed: bool
+    details: tuple[str, ...] = ()
 
 
 def _equal_projection_111():
@@ -164,35 +165,46 @@ def check_branching_maximum() -> VerifyCheck:
     )
 
 
+def _direction(theta_deg, phi_deg):
+    return lab_to_cartesian(LabField(1.0, theta_deg, phi_deg))
+
+
+def _folded_angle(a, b) -> float:
+    """Angle in degrees between the lines through unit vectors a and b."""
+    return math.degrees(math.acos(min(abs(float(a @ b)), 1.0)))
+
+
+def _candidates(transitions, site, m_g, m_e, u_ref):
+    """(angle to u_ref in degrees, transition) for the row's site and branch.
+
+    A degenerate transition stands for its circle of constant u.x, so
+    its angle is the distance from u_ref to that circle.
+    """
+    x_axis = site_frame(site).x_axis
+    out = []
+    for ct in transitions:
+        # inverting the field maps branch (m_g, m_e) to
+        # (-m_g, -m_e) at the antipodal orientation, so accept
+        # either labeling together with the |cos| angle comparison
+        if ct.site != site or ct.branch not in ((m_g, m_e), (-m_g, -m_e)):
+            continue
+        u = _direction(ct.theta, ct.phi)
+        if ct.degenerate:
+            ang = abs(_folded_angle(u_ref, x_axis) - _folded_angle(u, x_axis))
+        else:
+            ang = _folded_angle(u, u_ref)
+        out.append((ang, ct))
+    return out
+
+
 def match_clock_rows(transitions, b_tol=1e-3, angle_tol=2.0):
     """Count reference rows matched by a computed transition list."""
     matched = 0
     details = []
     for site, b_ref, th_ref, ph_ref, m_g, m_e in REFERENCE_CLOCK_ROWS:
-        u_ref = np.array(
-            [
-                math.sin(math.radians(th_ref)) * math.cos(math.radians(ph_ref)),
-                math.sin(math.radians(th_ref)) * math.sin(math.radians(ph_ref)),
-                math.cos(math.radians(th_ref)),
-            ]
-        )
+        u_ref = _direction(th_ref, ph_ref)
         hit = None
-        for ct in transitions:
-            # inverting the field maps branch (m_g, m_e) to
-            # (-m_g, -m_e) at the antipodal orientation, so accept
-            # either labeling together with the |cos| angle comparison
-            if ct.site != site or ct.branch not in ((m_g, m_e), (-m_g, -m_e)):
-                continue
-            u = np.array(
-                [
-                    math.sin(math.radians(ct.theta)) * math.cos(math.radians(ct.phi)),
-                    math.sin(math.radians(ct.theta)) * math.sin(math.radians(ct.phi)),
-                    math.cos(math.radians(ct.theta)),
-                ]
-            )
-            # accept sign aliases: the field and its inverse give the
-            # same physics, so compare |cos| of the separation
-            ang = math.degrees(math.acos(min(abs(float(u @ u_ref)), 1.0)))
+        for ang, ct in _candidates(transitions, site, m_g, m_e, u_ref):
             if ang <= angle_tol and abs(ct.b_star - b_ref) <= b_tol:
                 hit = ct
                 break
@@ -202,20 +214,43 @@ def match_clock_rows(transitions, b_tol=1e-3, angle_tol=2.0):
     return matched, details
 
 
+def _row_report(transitions, model, row):
+    """Analytic gradient at one reference row and the nearest listed point."""
+    site, b_ref, th_ref, ph_ref, m_g, m_e = row
+    u_ref = _direction(th_ref, ph_ref)
+    grad = float(np.linalg.norm(sphere_gradient(model, u_ref, (m_g, m_e)))) * math.pi / 180.0
+    text = (
+        f"site {site} ({m_g:+.1f},{m_e:+.1f}) {b_ref * 1e3:.0f} mT at ({th_ref:.0f}, {ph_ref:.0f}): "
+        f"analytic gradient {grad:.3g} MHz/deg; "
+    )
+    candidates = _candidates(transitions, site, m_g, m_e, u_ref)
+    if not candidates:
+        return text + "no listed point on this branch"
+    ang, ct = min(candidates, key=lambda c: c[0])
+    return text + (
+        f"nearest listed {ct.b_star * 1e3:.3f} mT at ({ct.theta:.2f}, {ct.phi:.2f})"
+        f"{' (circle of constant u.x)' if ct.degenerate else ''}, {ang:.2f} deg away"
+    )
+
+
 def check_clock_table(convention: str, splitting_model: str, grid=None) -> VerifyCheck:
-    grid = grid or GridSpec(b_max=0.06, theta_step=2.0, phi_step=2.0)
+    grid = grid or GridSpec(b_max=0.06)
+    models = {
+        sid: SiteModel(sid, convention=convention, splitting_model=splitting_model)
+        for sid in range(1, 7)
+    }
     transitions = []
-    for sid in range(1, 7):
-        model = SiteModel(sid, convention=convention, splitting_model=splitting_model)
+    for model in models.values():
         transitions.extend(find_clock_transitions(model, grid))
     matched, _ = match_clock_rows(transitions)
     ok = matched == len(REFERENCE_CLOCK_ROWS)
     return VerifyCheck(
         f"clock-transition table ({convention}, {splitting_model} splitting)",
-        f"{matched}/24 reference rows matched, {len(transitions)} solutions found",
+        f"{matched}/24 reference rows matched, {len(transitions)} exact solutions",
         "24/24 matched within 1 mT and 2 deg",
         "1 mT, 2 deg",
         ok,
+        tuple(_row_report(transitions, models[row[0]], row) for row in REFERENCE_CLOCK_ROWS),
     )
 
 

@@ -222,6 +222,27 @@ class TestScanClock:
         code, _, _ = run_cli(capsys, "scan-clock", "--site", "9")
         assert code == 2
 
+    def test_bundled_config_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "scan-clock")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "site,B_mT,theta_deg,phi_deg,m_ground,m_excited,curvature_Hz_per_G2"
+        sites = [int(l.split(",")[0]) for l in lines[1:]]
+        assert sites == sorted(sites) and [sites.count(s) for s in range(1, 7)] == [20] * 6
+
+    def test_equal_projection_circles_flagged(self, capsys):
+        code, out, _ = run_cli(capsys, "--convention", "equal-projection", "scan-clock", "--site", "1")
+        assert code == 0
+        lines = out.splitlines()[1:]
+        notes = [l for l in lines if l.startswith("# degenerate:")]
+        rows = [l for l in lines if not l.startswith("#")]
+        assert notes and len(rows) == 8
+        # each note follows the row it describes
+        for k, line in enumerate(lines):
+            if line.startswith("# degenerate:"):
+                row = lines[k - 1].split(",")
+                assert f"at ({row[2]}, {row[3]})" in line
+
 
 class TestSynthAndPeaks:
     def test_seeded_runs_identical(self, capsys, tmp_path):
@@ -360,6 +381,31 @@ class TestBadInput:
     def test_b_step(self, capsys, value):
         self.assert_rejected(capsys, ["scan-clock", "--b-step", value], "--b-step")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["predict", "--b-mag", "nan"], "--b-mag"),
+            (["predict", "--b-mag", "inf", "--axis", "0,0,1"], "--b-mag"),
+            (["predict", "--b-mag", "-1", "--axis", "0,0,1"], "--b-mag"),
+            (["predict", "--b-mag", "0.1", "--theta", "nan"], "--theta"),
+            (["predict", "--b-mag", "0.1", "--phi", "inf"], "--phi"),
+            (["synth", "--b-mag", "0.09", "--noise", "nan"], "--noise"),
+            (["synth", "--b-mag", "0.09", "--noise", "inf"], "--noise"),
+            (["synth", "--b-mag", "0.09", "--noise", "-0.1"], "--noise"),
+            (["synth", "--b-mag", "0.09", "--theta=-inf"], "--theta"),
+            (["broadening-map", "--b-mag", "nan"], "finite"),
+        ],
+    )
+    def test_non_finite_values(self, capsys, argv, flag):
+        self.assert_rejected(capsys, argv, flag)
+
+    @pytest.mark.parametrize("key", ["grid.b_max", "grid.b_step", "grid.theta_step", "grid.phi_step"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        self.assert_rejected(capsys, ["--config", str(cfg), "branching-map"], "finite")
+
     def test_angle_step_is_used(self, capsys, tmp_path):
         path = tmp_path / "map.csv"
         argv = ["broadening-map", "--b-mag", "0.1", "--angle-step", "30", "--out", str(path)]
@@ -376,6 +422,22 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_full_report_counts_and_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        # the reference clock table is not reproduced (criterion 4)
+        assert code == 1
+        lines = out.splitlines()
+        counts = {}
+        for k, line in enumerate(lines):
+            if "clock-transition table" in line:
+                mode = line[line.index("(") + 1 : line.index(")")]
+                counts[mode] = line.split("matched, ")[1].split(";")[0]
+                details = lines[k + 1 : k + 25]
+                assert all(d.startswith("    site ") and "analytic gradient" in d for d in details)
+        assert counts["si-table, sqrt splitting"] == "120 exact solutions"
+        assert counts["si-table, linear splitting"] == "24 exact solutions"
+        assert "0/24 reference rows matched" in out and "12/24 reference rows matched" in out
 
     def test_write_table_helper(self, tmp_path):
         path = tmp_path / "t.csv"
